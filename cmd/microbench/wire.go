@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,17 +30,17 @@ type wireBenchResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// broadcastReport compares the v2 per-subscriber marshal fan-out with
-// the v3 encode-once path at 64 subscribers (BenchmarkHubBroadcast's
-// CLI twin).
+// broadcastReport compares framing a copy per subscriber with the
+// encode-once path at 64 subscribers (BenchmarkHubBroadcast's CLI
+// twin).
 type broadcastReport struct {
-	Subscribers   int     `json:"subscribers"`
-	V2NsPerOp     float64 `json:"v2_json_ns_per_op"`
-	V3NsPerOp     float64 `json:"v3_encode_once_ns_per_op"`
-	NsSpeedup     float64 `json:"ns_speedup"`
-	V2AllocsPerOp int64   `json:"v2_json_allocs_per_op"`
-	V3AllocsPerOp int64   `json:"v3_encode_once_allocs_per_op"`
-	AllocRatio    float64 `json:"alloc_ratio"`
+	Subscribers           int     `json:"subscribers"`
+	PerSubscriberNsPerOp  float64 `json:"per_subscriber_ns_per_op"`
+	EncodeOnceNsPerOp     float64 `json:"encode_once_ns_per_op"`
+	NsSpeedup             float64 `json:"ns_speedup"`
+	PerSubscriberAllocsOp int64   `json:"per_subscriber_allocs_per_op"`
+	EncodeOnceAllocsOp    int64   `json:"encode_once_allocs_per_op"`
+	AllocRatio            float64 `json:"alloc_ratio"`
 }
 
 // propReport is one propagation run's latency profile.
@@ -53,14 +55,44 @@ type propReport struct {
 	MaxNs int64  `json:"max_ns"`
 }
 
+// machine is the report's header: what the numbers were measured on.
+type machine struct {
+	CPU        string `json:"cpu"`
+	NumCPU     int    `json:"nproc"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	GitRev     string `json:"git_rev"`
+}
+
 // wireReport is the BENCH_wire.json schema.
 type wireReport struct {
 	GeneratedUnix int64             `json:"generated_unix"`
-	GoMaxProcs    int               `json:"gomaxprocs"`
+	Machine       machine           `json:"machine"`
 	WireVersion   int               `json:"wire_version"`
 	Benchmarks    []wireBenchResult `json:"benchmarks"`
 	Broadcast     broadcastReport   `json:"broadcast"`
 	Propagation   []propReport      `json:"propagation"`
+}
+
+// thisMachine reads the header fields: the CPU model from
+// /proc/cpuinfo (the architecture where that file does not exist) and
+// the checkout's git revision, marked -dirty when the tree has
+// uncommitted changes.
+func thisMachine() machine {
+	m := machine{CPU: runtime.GOARCH, NumCPU: runtime.NumCPU(),
+		GoMaxProcs: runtime.GOMAXPROCS(0), GoVersion: runtime.Version(), GitRev: "unknown"}
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(b), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				m.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	if out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=40").Output(); err == nil {
+		m.GitRev = strings.TrimSpace(string(out))
+	}
+	return m
 }
 
 // wireBenchSubscribers matches BenchmarkHubBroadcast.
@@ -94,24 +126,13 @@ func measure(name string, body func(b *testing.B)) wireBenchResult {
 func runWireBench(out string, propProcs, propSigs int) error {
 	rep := wireReport{
 		GeneratedUnix: time.Now().Unix(),
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
+		Machine:       thisMachine(),
 		WireVersion:   wire.Version,
 	}
 
 	// Codec cost, one message each way.
-	encJSON := measure("wire-encode/json", func(b *testing.B) {
+	encode := measure("wire-encode", func(b *testing.B) {
 		m := wireBenchDelta()
-		m.V = wire.MaxJSONVersion
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := wire.Encode(m); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	encBin := measure("wire-encode/binary", func(b *testing.B) {
-		m := wireBenchDelta()
-		m.V = wire.BinaryVersion
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := wire.EncodeBinary(m); err != nil {
@@ -119,39 +140,23 @@ func runWireBench(out string, propProcs, propSigs int) error {
 			}
 		}
 	})
-	m := wireBenchDelta()
-	m.V = wire.MaxJSONVersion
-	jsonBuf, err := wire.Encode(m)
+	buf, err := wire.EncodeBinary(wireBenchDelta())
 	if err != nil {
 		return err
 	}
-	m.V = wire.BinaryVersion
-	binBuf, err := wire.EncodeBinary(m)
-	if err != nil {
-		return err
-	}
-	decJSON := measure("wire-decode/json", func(b *testing.B) {
+	decode := measure("wire-decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := wire.Decode(jsonBuf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	decBin := measure("wire-decode/binary", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := wire.DecodeBinary(binBuf); err != nil {
+			if _, err := wire.DecodeBinary(buf); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 
-	// The fan-out: per-subscriber marshal (the pre-v3 hub) vs one Shared
-	// handed to every session (BenchmarkHubBroadcast's two bodies).
-	v2 := measure("hub-broadcast/v2-json-per-subscriber", func(b *testing.B) {
+	// The fan-out: a frame per subscriber vs one Shared handed to every
+	// session (BenchmarkHubBroadcast's two bodies).
+	perSub := measure("hub-broadcast/per-subscriber", func(b *testing.B) {
 		m := wireBenchDelta()
-		m.V = wire.MaxJSONVersion
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for s := 0; s < wireBenchSubscribers; s++ {
@@ -161,34 +166,36 @@ func runWireBench(out string, propProcs, propSigs int) error {
 			}
 		}
 	})
-	v3 := measure("hub-broadcast/v3-encode-once", func(b *testing.B) {
+	once := measure("hub-broadcast/encode-once", func(b *testing.B) {
 		dm := wireBenchDelta()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sh := wire.NewShared(dm)
 			for s := 0; s < wireBenchSubscribers; s++ {
-				if _, err := sh.Frame(wire.BinaryVersion); err != nil {
+				if _, err := sh.Frame(); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	})
-	rep.Benchmarks = []wireBenchResult{encJSON, encBin, decJSON, decBin, v2, v3}
+	rep.Benchmarks = []wireBenchResult{encode, decode, perSub, once}
 	rep.Broadcast = broadcastReport{
-		Subscribers:   wireBenchSubscribers,
-		V2NsPerOp:     v2.NsPerOp,
-		V3NsPerOp:     v3.NsPerOp,
-		V2AllocsPerOp: v2.AllocsPerOp,
-		V3AllocsPerOp: v3.AllocsPerOp,
+		Subscribers:           wireBenchSubscribers,
+		PerSubscriberNsPerOp:  perSub.NsPerOp,
+		EncodeOnceNsPerOp:     once.NsPerOp,
+		PerSubscriberAllocsOp: perSub.AllocsPerOp,
+		EncodeOnceAllocsOp:    once.AllocsPerOp,
 	}
-	if v3.NsPerOp > 0 {
-		rep.Broadcast.NsSpeedup = v2.NsPerOp / v3.NsPerOp
+	if once.NsPerOp > 0 {
+		rep.Broadcast.NsSpeedup = perSub.NsPerOp / once.NsPerOp
 	}
-	if v3.AllocsPerOp > 0 {
-		rep.Broadcast.AllocRatio = float64(v2.AllocsPerOp) / float64(v3.AllocsPerOp)
+	if once.AllocsPerOp > 0 {
+		rep.Broadcast.AllocRatio = float64(perSub.AllocsPerOp) / float64(once.AllocsPerOp)
 	}
 
-	fmt.Printf("wire bench (%d subscribers):\n", wireBenchSubscribers)
+	m := rep.Machine
+	fmt.Printf("wire bench (%d subscribers) on %s, %d CPUs, GOMAXPROCS %d, %s, rev %s:\n",
+		wireBenchSubscribers, m.CPU, m.NumCPU, m.GoMaxProcs, m.GoVersion, m.GitRev)
 	for _, r := range rep.Benchmarks {
 		fmt.Printf("  %-38s %12.1f ns/op %8d allocs/op %8d B/op\n", r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
 	}
@@ -196,8 +203,8 @@ func runWireBench(out string, propProcs, propSigs int) error {
 		rep.Broadcast.NsSpeedup, rep.Broadcast.AllocRatio)
 
 	// Propagation latency percentiles, all three tiers, through the live
-	// machinery (the v3 path end to end; the auth tier adds TLS and
-	// token verification on the same path).
+	// machinery (the auth tier adds TLS and token verification on the
+	// same path).
 	for _, tier := range []string{"on-device", "cross-device-tcp", "cross-device-tcp-auth"} {
 		var res workload.PropagationResult
 		var err error

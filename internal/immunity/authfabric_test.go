@@ -221,7 +221,7 @@ func TestPeerHelloIdentityEnforced(t *testing.T) {
 		}
 		defer nc.Close()
 		nc.SetDeadline(time.Now().Add(5 * time.Second))
-		m := wire.Message{V: wire.Version, Type: wire.TypePeerHello,
+		m := wire.Message{Type: wire.TypePeerHello,
 			PeerHello: &wire.PeerHello{Hub: claim}}
 		if err := wire.WriteFrame(nc, m); err != nil {
 			t.Fatal(err)

@@ -522,8 +522,8 @@ func (f *flappyTransport) Dial(recv func(wire.Message), down func(err error)) (i
 
 func (s *flappySession) Send(m wire.Message) error {
 	if m.Type == wire.TypePeerHello {
-		s.recv(wire.Message{V: m.V, Type: wire.TypeAck,
-			Ack: &wire.Ack{OK: true, Epoch: 0, Gen: "flap-gen", V: wire.PeerVersion}})
+		s.recv(wire.Message{Type: wire.TypeAck,
+			Ack: &wire.Ack{OK: true, Epoch: 0, Gen: "flap-gen"}})
 		s.down(errors.New("peer dropped the session right after the handshake"))
 	}
 	return nil
@@ -579,5 +579,79 @@ func TestClusterFlappingPeerBacksOff(t *testing.T) {
 	}
 	if st.Dials != dials {
 		t.Fatalf("PeerStatus.Dials = %d, transport saw %d", st.Dials, dials)
+	}
+}
+
+// leaseMuteTransport delivers everything except lease renewals, which
+// it swallows: the link stays up, probes are answered, but no renewal
+// ever reaches the peer, so no grant ever comes back.
+type leaseMuteTransport struct{ inner immunity.Transport }
+
+func (t leaseMuteTransport) Dial(recv func(wire.Message), down func(err error)) (immunity.Session, error) {
+	s, err := t.inner.Dial(recv, down)
+	if err != nil {
+		return nil, err
+	}
+	return leaseMuteSession{s}, nil
+}
+
+type leaseMuteSession struct{ immunity.Session }
+
+func (s leaseMuteSession) Send(m wire.Message) error {
+	if m.Type == wire.TypeLease {
+		return nil
+	}
+	return s.Session.Send(m)
+}
+
+// TestClusterLeaseNeedsRealAcks: a peer whose link is up but that never
+// acks a lease renewal does not count toward the quorum. hub0's
+// renewals never reach its two peers, so it never holds the lease —
+// while hub1 and hub2, whose renewals are acked (hub0 included), do.
+func TestClusterLeaseNeedsRealAcks(t *testing.T) {
+	ids := hubNames(3)
+	hubs := make([]*immunity.Exchange, len(ids))
+	for i := range hubs {
+		hub, err := immunity.NewExchange(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(hub.Close)
+		hubs[i] = hub
+	}
+	nodes := make([]*cluster.Node, len(ids))
+	for i := range nodes {
+		var peers []cluster.Member
+		for j := range hubs {
+			if j == i {
+				continue
+			}
+			var tr immunity.Transport = immunity.NewLoopback(hubs[j])
+			if i == 0 {
+				tr = leaseMuteTransport{tr}
+			}
+			peers = append(peers, cluster.Member{ID: ids[j], Transport: tr})
+		}
+		node, err := cluster.New(cluster.Config{Self: ids[i], Hub: hubs[i], Peers: peers,
+			FailoverAfter: 200 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(node.Close)
+		nodes[i] = node
+	}
+	waitFor(t, "hub1 and hub2 hold the lease", func() bool {
+		h1, _, _ := nodes[1].LeaseStats()
+		h2, _, _ := nodes[2].LeaseStats()
+		return h1 && h2
+	})
+	// Several lease TTLs of live links, answered probes, and no acks.
+	time.Sleep(time.Second)
+	held, acquired, _ := nodes[0].LeaseStats()
+	if held || acquired != 0 || nodes[0].MayArm() {
+		t.Fatalf("hub0 held the lease without a single ack (held %v, acquired %d)", held, acquired)
+	}
+	if n := len(nodes[0].Ring().Members()); n != 3 {
+		t.Fatalf("hub0's ring shrank to %d members: its peers were judged down, not silent", n)
 	}
 }

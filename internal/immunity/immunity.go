@@ -38,8 +38,8 @@
 //
 // # Transports and the wire protocol
 //
-// The Exchange speaks only the versioned wire protocol defined in the
-// wire subpackage (hello/ack handshake, report, confirm receipts,
+// The Exchange speaks only the wire protocol defined in the wire
+// subpackage (hello/ack handshake, report, confirm receipts,
 // delta pushes, status — see wire's message table). Devices attach
 // through a Transport:
 //
@@ -47,13 +47,13 @@
 //     sockets — zero-dependency tests and simulations, same messages,
 //     same arming decisions.
 //   - TCPTransport/ServeTCP move length-prefixed wire frames over real
-//     sockets (JSON below wire v3, the binary codec at v3 — negotiated
-//     per session, chosen per frame by the header's codec bit);
-//     ExchangeClient redials dropped sessions with backoff and
-//     resubscribes from the last delta epoch it applied, so a reconnect
-//     receives exactly the armings it missed. The hub's write side is
-//     encode-once: a broadcast delta or arm-broadcast is marshaled at
-//     most once per negotiated version (wire.Shared) and each session's
+//     sockets, in the one binary codec and protocol version from the
+//     first frame (a frame at any other version is refused with a
+//     failure ack naming both); ExchangeClient redials dropped sessions
+//     with backoff and resubscribes from the last delta epoch it
+//     applied, so a reconnect receives exactly the armings it missed.
+//     The hub's write side is encode-once: a broadcast delta or
+//     arm-broadcast is marshaled once (wire.Shared) and each session's
 //     drain hands every pending frame to the kernel in one writev.
 //
 // Connect(transport, deviceID, service) wires a phone in; the hub holds
@@ -67,7 +67,7 @@
 // N devices. The auth subpackage supplies the trust fabric, and this
 // package threads it through every connection path:
 //
-//   - Devices authenticate with bearer tokens (wire v5 hello): the
+//   - Devices authenticate with bearer tokens (carried in hello): the
 //     operator mints HMAC-signed tokens (auth.Mint, immunityd
 //     -mint-token) carrying tenant/device/expiry claims, and a hub
 //     built WithAuthVerifier refuses any hello whose token is missing,
@@ -97,12 +97,10 @@
 // client may see epoch gaps; resume is strictly "armEpoch greater than
 // mine", so gaps are harmless).
 //
-// Auth-disabled mode — no verifier, no TLS — keeps the pre-v5 behavior
-// byte for byte: any socket may claim any identity and all traffic is
-// one implicit tenant. That is the correct posture on a trusted network
-// and is exactly what every wire v≤4 deployment already assumed; v≤4
-// clients still interop against such a hub through the ordinary
-// [min_v,max_v] version negotiation.
+// Auth-disabled mode — no verifier, no TLS — trusts the network: any
+// socket may claim any identity, hello tokens are ignored, and all
+// traffic is one implicit tenant. That is the correct posture on a
+// trusted network.
 //
 // # Durable provenance
 //

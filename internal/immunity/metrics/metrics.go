@@ -356,7 +356,7 @@ func (r *Registry) FloatGauge(name, help string) *FloatGauge {
 }
 
 // Info registers the Prometheus info-metric idiom: a constant 1-valued
-// gauge whose label pairs carry identity (build version, wire range) a
+// gauge whose label pairs carry identity (build version, wire version) a
 // plain sample can't — scrapes join it against counters to tell a
 // restart from a counter reset. Pairs render in the given order.
 func (r *Registry) Info(name, help string, pairs ...[2]string) {

@@ -1,8 +1,10 @@
 package immunity
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -317,6 +319,92 @@ func TestClientHubGenerationResync(t *testing.T) {
 	waitFor(t, "A armed with sig1 after generation resync", func() bool { return a.armedOn(testSig(1).Key()) })
 }
 
+// restamp rewrites an encoded frame's protocol version to v — the
+// bytes an endpoint built at another version would send. Version's
+// zigzag varint is one byte, so the rest of the payload starts at 5.
+func restamp(frame []byte, v int) []byte {
+	payload := append(binary.AppendVarint(nil, int64(v)), frame[5:]...)
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
+// versionTransport dials the hub over plain TCP and stamps every frame
+// it sends at protocol version v.
+type versionTransport struct {
+	addr string
+	v    int
+}
+
+func (t versionTransport) Dial(recv func(wire.Message), down func(err error)) (Session, error) {
+	nc, err := net.Dial("tcp", t.addr)
+	if err != nil {
+		return nil, err
+	}
+	go func() {
+		fr := wire.NewReader(nc)
+		for {
+			m, err := fr.ReadFrame()
+			if err != nil {
+				down(err)
+				return
+			}
+			recv(m)
+		}
+	}()
+	return versionSession{nc: nc, v: t.v}, nil
+}
+
+type versionSession struct {
+	nc net.Conn
+	v  int
+}
+
+func (s versionSession) Send(m wire.Message) error {
+	b, err := wire.AppendFrame(nil, m)
+	if err != nil {
+		return err
+	}
+	_, err = s.nc.Write(restamp(b, s.v))
+	return err
+}
+
+func (s versionSession) Close() error { return s.nc.Close() }
+
+// expectRefusal reads one frame from nc, which must be a failure ack
+// whose error names both want and wire.Version, then checks that the
+// hub hangs up instead of leaving the connection open.
+func expectRefusal(t *testing.T, nc net.Conn, want int) {
+	t.Helper()
+	nc.SetDeadline(time.Now().Add(5 * time.Second))
+	m, err := wire.ReadFrame(nc)
+	if err != nil {
+		t.Fatalf("want failure ack, got read error %v", err)
+	}
+	if m.Type != wire.TypeAck || m.Ack.OK {
+		t.Fatalf("want failure ack, got %+v", m)
+	}
+	for _, v := range []int{want, wire.Version} {
+		if !strings.Contains(m.Ack.Error, fmt.Sprintf("version %d", v)) &&
+			!strings.Contains(m.Ack.Error, fmt.Sprintf("speaks %d", v)) {
+			t.Fatalf("ack error %q does not name version %d", m.Ack.Error, v)
+		}
+	}
+	expectHangup(t, nc)
+}
+
+// expectHangup checks that the hub closes nc: the next read fails fast
+// rather than running into the deadline (which would mean a hang).
+func expectHangup(t *testing.T, nc net.Conn) {
+	t.Helper()
+	start := time.Now()
+	nc.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := wire.ReadFrame(nc); err == nil {
+		t.Fatal("connection still open after refusal")
+	}
+	if time.Since(start) > 4*time.Second {
+		t.Fatal("peer hung instead of being disconnected")
+	}
+}
+
 // TestTCPVersionMismatchRejected: an old client speaking a different
 // protocol version is answered with a clean failure ack and a closed
 // connection — never a hang.
@@ -333,59 +421,113 @@ func TestTCPVersionMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(5 * time.Second))
-	old := wire.Message{V: wire.Version + 41, Type: wire.TypeHello,
-		Hello: &wire.Hello{Device: "museum-piece", Epoch: 0}}
-	if err := wire.WriteFrame(nc, old); err != nil {
+	hello, err := wire.AppendFrame(nil, wire.Message{Type: wire.TypeHello,
+		Hello: &wire.Hello{Device: "museum-piece"}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := wire.ReadFrame(nc)
-	if err != nil {
-		t.Fatalf("want failure ack, got read error %v", err)
+	if _, err := nc.Write(restamp(hello, wire.Version+41)); err != nil {
+		t.Fatal(err)
 	}
-	if m.Type != wire.TypeAck || m.Ack.OK {
-		t.Fatalf("want failure ack, got %+v", m)
-	}
-	if !strings.Contains(m.Ack.Error, "version") {
-		t.Fatalf("ack error %q does not name the version", m.Ack.Error)
-	}
-	// The hub hangs up after the refusal: the next read fails fast
-	// rather than deadline-expiring (which would mean a hang).
-	start := time.Now()
-	if _, err := wire.ReadFrame(nc); err == nil {
-		t.Fatal("connection still open after version refusal")
-	}
-	if time.Since(start) > 4*time.Second {
-		t.Fatal("old client hung instead of being disconnected")
-	}
+	expectRefusal(t, nc, wire.Version+41)
+
 	// And the client-side API surfaces it as a permanent connect error.
 	svc, err := NewService("old-phone", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if _, err := Connect(badVersionTransport{NewTCPTransport(srv.Addr())}, "old-phone", svc); err == nil {
+	if _, err := Connect(versionTransport{srv.Addr(), wire.Version + 41}, "old-phone", svc); err == nil {
 		t.Fatal("version-mismatched Connect succeeded")
+	} else if !strings.Contains(err.Error(), "version") {
+		t.Fatalf("refusal error %q does not carry the hub's reason", err)
 	}
 }
 
-// badVersionTransport rewrites outgoing hellos to a wrong version,
-// simulating an old client binary on the real TCP path.
-type badVersionTransport struct{ inner Transport }
-
-func (b badVersionTransport) Dial(recv func(wire.Message), down func(err error)) (Session, error) {
-	s, err := b.inner.Dial(recv, down)
+// TestWireVersionRefusals: the hub speaks exactly wire.Version. A hello
+// or peer-hello one version below or above is refused with a failure
+// ack naming both versions, then the session closes; a legacy
+// JSON-framed hello and a legacy flag-bit binary frame are refused or
+// closed without a panic, a hang, or an allocation the size of the
+// claimed frame.
+func TestWireVersionRefusals(t *testing.T) {
+	hub := newTestHub(t, 1)
+	srv, err := ServeTCP(hub, "127.0.0.1:0")
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	return badVersionSession{s}, nil
-}
-
-type badVersionSession struct{ Session }
-
-func (s badVersionSession) Send(m wire.Message) error {
-	if m.Type == wire.TypeHello {
-		m.V = 0
+	defer srv.Close()
+	dial := func(t *testing.T) net.Conn {
+		nc, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		return nc
 	}
-	return s.Session.Send(m)
+
+	hellos := map[string]wire.Message{
+		"hello":      {Type: wire.TypeHello, Hello: &wire.Hello{Device: "phone"}},
+		"peer-hello": {Type: wire.TypePeerHello, PeerHello: &wire.PeerHello{Hub: "hub-x"}},
+	}
+	for name, m := range hellos {
+		frame, err := wire.AppendFrame(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []int{wire.Version - 1, wire.Version + 1} {
+			t.Run(fmt.Sprintf("%s-v%d", name, v), func(t *testing.T) {
+				nc := dial(t)
+				if _, err := nc.Write(restamp(frame, v)); err != nil {
+					t.Fatal(err)
+				}
+				expectRefusal(t, nc, v)
+			})
+		}
+	}
+
+	legacy := map[string][]byte{
+		// A v1 client: 4-byte length, then a JSON envelope.
+		"json-v1": func() []byte {
+			js := []byte(`{"v":1,"type":"hello","hello":{"device":"museum","epoch":0}}`)
+			return append(binary.BigEndian.AppendUint32(nil, uint32(len(js))), js...)
+		}(),
+		// A v3–v6 endpoint: the top header bit flagged the binary codec,
+		// so the length reads as ~2 GiB.
+		"flag-bit-v6": func() []byte {
+			frame, err := wire.AppendFrame(nil, hellos["hello"])
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame = restamp(frame, 6)
+			frame[0] |= 0x80
+			return frame
+		}(),
+	}
+	for name, frame := range legacy {
+		t.Run(name, func(t *testing.T) {
+			nc := dial(t)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := nc.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			nc.SetDeadline(time.Now().Add(5 * time.Second))
+			if m, err := wire.ReadFrame(nc); err == nil {
+				if m.Type != wire.TypeAck || m.Ack.OK {
+					t.Fatalf("legacy frame answered with %+v, want a refusal or a hangup", m)
+				}
+				expectHangup(t, nc)
+			} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatal("hub neither refused nor closed the legacy session")
+			}
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > wire.MaxFrame {
+				t.Fatalf("legacy frame cost %d bytes of allocation", grew)
+			}
+		})
+	}
+	if n := hub.Stats().Devices; n != 0 {
+		t.Fatalf("refused sessions left %d devices registered", n)
+	}
 }

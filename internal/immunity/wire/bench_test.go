@@ -14,16 +14,14 @@ func benchDelta() Message {
 const benchSubscribers = 64
 
 // BenchmarkHubBroadcast measures the wire cost of pushing one arming to
-// 64 subscribers — the marshal storm the encode-once fan-out removes.
-// The v2 sub-benchmark is the old per-subscriber path (each session's
-// queue JSON-encodes its own copy of the same message); the v3
-// sub-benchmark is the shipped path (one Shared, every session handed
-// the cached frame). cmd/microbench -wire runs the same two bodies and
-// records the ratio in BENCH_wire.json.
+// 64 subscribers. The per-subscriber sub-benchmark frames a copy of the
+// message for every session's queue; the encode-once sub-benchmark is
+// the shipped path (one Shared, every session handed the cached frame).
+// cmd/microbench -wire runs the same two bodies and records the ratio
+// in BENCH_wire.json.
 func BenchmarkHubBroadcast(b *testing.B) {
-	b.Run("v2-json-per-subscriber", func(b *testing.B) {
+	b.Run("per-subscriber", func(b *testing.B) {
 		m := benchDelta()
-		m.V = 2
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for s := 0; s < benchSubscribers; s++ {
@@ -33,13 +31,13 @@ func BenchmarkHubBroadcast(b *testing.B) {
 			}
 		}
 	})
-	b.Run("v3-encode-once", func(b *testing.B) {
+	b.Run("encode-once", func(b *testing.B) {
 		m := benchDelta()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sh := NewShared(m) // a fresh broadcast per arming, as the hub does
 			for s := 0; s < benchSubscribers; s++ {
-				if _, err := sh.Frame(BinaryVersion); err != nil {
+				if _, err := sh.Frame(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -50,56 +48,25 @@ func BenchmarkHubBroadcast(b *testing.B) {
 // BenchmarkWireEncode tracks the per-message codec cost (one encode,
 // no fan-out) for the perf trajectory in BENCH_wire.json.
 func BenchmarkWireEncode(b *testing.B) {
-	b.Run("json", func(b *testing.B) {
-		m := benchDelta()
-		m.V = 2
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Encode(m); err != nil {
-				b.Fatal(err)
-			}
+	m := benchDelta()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodeBinary(m); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		m := benchDelta()
-		m.V = BinaryVersion
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := EncodeBinary(m); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkWireDecode is BenchmarkWireEncode's read side.
 func BenchmarkWireDecode(b *testing.B) {
-	b.Run("json", func(b *testing.B) {
-		m := benchDelta()
-		m.V = 2
-		buf, err := Encode(m)
-		if err != nil {
+	buf, err := EncodeBinary(benchDelta())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeBinary(buf); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Decode(buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		m := benchDelta()
-		m.V = BinaryVersion
-		buf, err := EncodeBinary(m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := DecodeBinary(buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

@@ -1,25 +1,25 @@
-// The v3 binary codec: a hand-rolled varint + length-delimited encoding
-// of the wire message set. No reflection, no field names on the wire,
-// no intermediate allocations beyond the output buffer — encoding a
-// delta is an append loop, decoding is a cursor walk. The JSON codec
-// (v1/v2) and this one carry exactly the same message set; the
-// differential fuzz target (FuzzWireV3Differential) holds the two to
-// byte-identical round-trip behavior.
+// The wire codec: a hand-rolled varint + length-delimited encoding of
+// the message set. No reflection, no field names on the wire, no
+// intermediate allocations beyond the output buffer — encoding a delta
+// is an append loop, decoding is a cursor walk.
 //
 // Layout after the frame header (see the package comment's diagram):
 //
-//	varint  envelope version V
-//	byte    message type code (binHello..binArmBroadcast)
+//	varint  protocol version (always Version; anything else is a
+//	        *VersionError, checked before any other byte is read)
+//	byte    message type code (binHello..binLeaseAck)
 //	...     payload fields, in struct order
 //
 // Field encodings:
 //
 //	u64     unsigned varint
-//	int     zigzag varint (JSON permits negatives; round-trip keeps them)
+//	int     zigzag varint (negatives round-trip)
 //	bool    one byte, 0 or 1
-//	string  u64 length + bytes
+//	string  u64 length + bytes, valid UTF-8
 //	slice   u64 n: 0 = nil, else n-1 elements (nil and empty stay
-//	map             distinct, as they are under the JSON codec)
+//	map             distinct, except the two optional collections
+//	                Hello.Epochs and Status.Tenants: empty encodes
+//	                as nil)
 //	ptr     one presence byte, then the value
 //
 // Map keys are encoded sorted so equal messages encode to equal bytes —
@@ -158,22 +158,20 @@ func appendBool(b []byte, v bool) []byte {
 
 func appendStr(b []byte, s string) []byte {
 	if !utf8.ValidString(s) {
-		// The JSON codec coerces invalid UTF-8 on marshal — one U+FFFD
-		// per invalid byte; do byte-for-byte the same, so a string that
-		// would have gone through (mangled identically) under v2 never
-		// turns a v3 session into a decode-refusal redial loop, and the
-		// canonical signature key a mixed-version fleet derives from it
-		// is the same whichever codec carried it.
+		// The decoder refuses invalid UTF-8, so coerce it here — one
+		// U+FFFD per invalid byte — rather than emit a frame the
+		// receiver refuses: a bad string must never turn a session
+		// into a decode-refusal redial loop.
 		s = coerceUTF8(s)
 	}
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
-// coerceUTF8 mirrors encoding/json's marshal behavior exactly: every
-// individually invalid byte becomes its own U+FFFD (strings.ToValidUTF8
-// would collapse a run into one, deriving a different string than the
-// JSON codec for the same message).
+// coerceUTF8 replaces every individually invalid byte with its own
+// U+FFFD (strings.ToValidUTF8 would collapse a run into one), the same
+// mapping encoding/json applies, so a signature key coerced here
+// matches one persisted through the JSON provenance log.
 func coerceUTF8(s string) string {
 	var b strings.Builder
 	b.Grow(len(s))
@@ -254,8 +252,8 @@ func appendOwnedRecords(b []byte, recs []OwnedRecord) []byte {
 	return b
 }
 
-// appendBinary appends m's binary envelope (no frame header) to dst.
-// It validates exactly as the JSON Encode does.
+// appendBinary validates m and appends its envelope (no frame header),
+// stamped at Version, to dst.
 func appendBinary(dst []byte, m Message) ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return dst, err
@@ -264,19 +262,13 @@ func appendBinary(dst []byte, m Message) ([]byte, error) {
 	if !ok {
 		return dst, fmt.Errorf("wire encode: unknown type %q", m.Type)
 	}
-	b := appendInt(dst, m.V)
+	b := appendInt(dst, Version)
 	b = append(b, code)
 	switch m.Type {
 	case TypeHello:
 		h := m.Hello
 		b = appendStr(b, h.Device)
-		b = appendU64(b, h.Epoch)
-		b = appendInt(b, h.MinV)
-		b = appendInt(b, h.MaxV)
-		// Epochs is the one collection the JSON codec marshals with
-		// omitempty, collapsing empty to absent — encode the same way, or
-		// the two codecs would disagree about one message (both decoders
-		// normalize, see decodeNorm).
+		// Optional: empty encodes as absent, so decode yields nil.
 		b = appendLen(b, len(h.Epochs), len(h.Epochs) == 0)
 		gens := make([]string, 0, len(h.Epochs))
 		for g := range h.Epochs {
@@ -294,7 +286,6 @@ func appendBinary(dst []byte, m Message) ([]byte, error) {
 		b = appendStr(b, a.Error)
 		b = appendU64(b, a.Epoch)
 		b = appendStr(b, a.Gen)
-		b = appendInt(b, a.V)
 	case TypeReport:
 		b = appendSigs(b, m.Report.Sigs)
 	case TypeConfirm:
@@ -338,8 +329,7 @@ func appendBinary(dst []byte, m Message) ([]byte, error) {
 			b = appendMembers(b, cs.Ring)
 			b = appendU64(b, cs.Fenced)
 		}
-		// Tenants follows the JSON omitempty rule: empty encodes as
-		// absent (see decodeNorm).
+		// Optional, like Hello.Epochs: empty encodes as absent.
 		b = appendLen(b, len(st.Tenants), len(st.Tenants) == 0)
 		for _, ts := range st.Tenants {
 			b = appendStr(b, ts.Tenant)
@@ -352,8 +342,6 @@ func appendBinary(dst []byte, m Message) ([]byte, error) {
 		h := m.PeerHello
 		b = appendStr(b, h.Hub)
 		b = appendU64(b, h.Seq)
-		b = appendInt(b, h.MinV)
-		b = appendInt(b, h.MaxV)
 		b = appendStr(b, h.Addr)
 	case TypeForwardReport:
 		f := m.Forward
@@ -406,8 +394,7 @@ func appendBinary(dst []byte, m Message) ([]byte, error) {
 	return b, nil
 }
 
-// EncodeBinary marshals the message with the v3 binary codec (envelope
-// only, no frame header) — the binary twin of Encode.
+// EncodeBinary marshals the message (envelope only, no frame header).
 func EncodeBinary(m Message) ([]byte, error) {
 	b, err := appendBinary(nil, m)
 	if err != nil {
@@ -504,9 +491,8 @@ func (d *bdec) str() string {
 	s := string(d.b[d.off : d.off+int(n)]) // copies: decoded messages never alias the read buffer
 	d.off += int(n)
 	if !utf8.ValidString(s) {
-		// The JSON codec cannot represent invalid UTF-8 (it would be
-		// coerced to U+FFFD), so accepting it here would let the two
-		// codecs disagree about one message. Same domain, both codecs.
+		// The encoder never emits invalid UTF-8 (it coerces), so a
+		// string that is not valid is a corrupt or hostile frame.
 		d.fail("string %q is not valid UTF-8", s)
 		return ""
 	}
@@ -611,13 +597,16 @@ func (d *bdec) ownedRecords() []OwnedRecord {
 	return out
 }
 
-// DecodeBinary unmarshals and structurally validates one binary
-// envelope — the binary twin of Decode. Trailing bytes are an error: a
-// frame is exactly one message.
+// DecodeBinary unmarshals and structurally validates one envelope. The
+// version is read first: any value other than Version stops the decode
+// with a *VersionError before the rest of the payload is interpreted.
+// Trailing bytes are an error: a frame is exactly one message.
 func DecodeBinary(b []byte) (Message, error) {
 	d := &bdec{b: b}
+	if v := d.int(); d.err == nil && v != Version {
+		return Message{}, &VersionError{Got: v}
+	}
 	var m Message
-	m.V = d.int()
 	code := d.byte()
 	t, ok := codeType(code)
 	if d.err == nil && !ok {
@@ -629,7 +618,7 @@ func DecodeBinary(b []byte) (Message, error) {
 	m.Type = t
 	switch t {
 	case TypeHello:
-		h := &Hello{Device: d.str(), Epoch: d.u64(), MinV: d.int(), MaxV: d.int()}
+		h := &Hello{Device: d.str()}
 		if n := d.length(); n > 0 {
 			h.Epochs = make(map[string]uint64, prealloc(n))
 			for i := 0; i < n && d.err == nil; i++ {
@@ -640,7 +629,7 @@ func DecodeBinary(b []byte) (Message, error) {
 		h.Token = d.str()
 		m.Hello = h
 	case TypeAck:
-		m.Ack = &Ack{OK: d.bool(), Error: d.str(), Epoch: d.u64(), Gen: d.str(), V: d.int()}
+		m.Ack = &Ack{OK: d.bool(), Error: d.str(), Epoch: d.u64(), Gen: d.str()}
 	case TypeReport:
 		m.Report = &Report{Sigs: d.sigs()}
 	case TypeConfirm:
@@ -679,7 +668,7 @@ func DecodeBinary(b []byte) (Message, error) {
 		}
 		m.Status = st
 	case TypePeerHello:
-		m.PeerHello = &PeerHello{Hub: d.str(), Seq: d.u64(), MinV: d.int(), MaxV: d.int(), Addr: d.str()}
+		m.PeerHello = &PeerHello{Hub: d.str(), Seq: d.u64(), Addr: d.str()}
 	case TypeForwardReport:
 		m.Forward = &ForwardReport{Hub: d.str(), Device: d.str(), Sigs: d.sigs(), Hops: d.int(), Tenant: d.str()}
 	case TypeForwardConfirm:
@@ -710,5 +699,5 @@ func DecodeBinary(b []byte) (Message, error) {
 	if err := m.Validate(); err != nil {
 		return Message{}, err
 	}
-	return decodeNorm(m), nil
+	return m, nil
 }

@@ -3,42 +3,17 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"reflect"
 	"runtime"
 	"testing"
 )
 
-// binaryFixtures is messageFixtures re-stamped at the binary version,
-// plus edge shapes the JSON fixtures do not cover (nil vs empty
-// collections, negative ints, empty strings).
-func binaryFixtures() []Message {
-	ws := FromCore(testSig())
-	msgs := messageFixtures()
-	for i := range msgs {
-		msgs[i].V = BinaryVersion
-	}
-	msgs = append(msgs,
-		Message{V: BinaryVersion, Type: TypeReport, Report: &Report{Sigs: []Signature{}}},
-		Message{V: BinaryVersion, Type: TypeDelta, Delta: &Delta{Epoch: 1<<63 + 9, Sigs: nil}},
-		Message{V: -2, Type: TypeConfirm, Confirm: &Confirm{Key: "", Confirmations: -7}},
-		Message{V: BinaryVersion, Type: TypeHello,
-			Hello: &Hello{Device: "d", Epochs: map[string]uint64{"g1": 3, "g2": 0}}},
-		Message{V: BinaryVersion, Type: TypeStatus, Status: &Status{
-			Devices:    []string{},
-			Provenance: []SigStatus{{Key: "k", Kind: "deadlock", ConfirmedBy: nil}},
-			Cluster:    &ClusterStatus{Members: []string{"a"}, Owned: -1}}},
-		Message{V: BinaryVersion, Type: TypeArmBroadcast,
-			Arm: &ArmBroadcast{Owner: "hub-a", Seq: 1, Sig: ws}},
-	)
-	return msgs
-}
-
-// TestBinaryRoundTrip: every message shape survives the binary codec
-// exactly, including the nil/empty collection distinction the JSON
-// codec preserves.
+// TestBinaryRoundTrip: every fixture survives the codec exactly,
+// including the nil/empty collection distinction.
 func TestBinaryRoundTrip(t *testing.T) {
-	for _, m := range binaryFixtures() {
+	for _, m := range fixtures() {
 		b, err := EncodeBinary(m)
 		if err != nil {
 			t.Fatalf("encode %s: %v", m.Type, err)
@@ -53,27 +28,18 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryFrameRoundTrip: v3-stamped messages frame with the binary
-// flag bit, read back through both ReadFrame and Reader, and interleave
-// freely with JSON frames on one stream — the mixed-version property
-// the handshake depends on.
+// TestBinaryFrameRoundTrip: every fixture frames and reads back through
+// the buffered Reader, back to back on one stream.
 func TestBinaryFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	msgs := binaryFixtures()
-	// Interleave a JSON frame between every binary one.
-	jm := Message{V: MaxJSONVersion, Type: TypeStatusReq}
-	var want []Message
+	msgs := fixtures()
 	for _, m := range msgs {
 		if err := WriteFrame(&buf, m); err != nil {
 			t.Fatalf("write %s: %v", m.Type, err)
 		}
-		if err := WriteFrame(&buf, jm); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, m, jm)
 	}
 	r := NewReader(bytes.NewReader(buf.Bytes()))
-	for _, w := range want {
+	for _, w := range msgs {
 		got, err := r.ReadFrame()
 		if err != nil {
 			t.Fatalf("read %s: %v", w.Type, err)
@@ -87,69 +53,58 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryFrameFlagBit: the header of a binary frame carries the flag
-// bit, a JSON frame does not, and a pre-v3 reader treats a binary frame
-// as an oversized length — a clean refusal, never a mis-parse.
+// TestBinaryFrameFlagBit: the frame header is a plain length. A frame
+// from an older endpoint that set the top header bit as a codec flag
+// reads as an impossible length and is refused before any payload
+// allocation, never mis-parsed.
 func TestBinaryFrameFlagBit(t *testing.T) {
-	bin, err := AppendFrame(nil, Message{V: BinaryVersion, Type: TypeStatusReq})
+	frame, err := AppendFrame(nil, Message{Type: TypeStatusReq})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if binary.BigEndian.Uint32(bin[:4])&binaryFlag == 0 {
-		t.Fatal("binary frame header missing the codec flag bit")
+	if n := binary.BigEndian.Uint32(frame[:4]); int(n) != len(frame)-4 {
+		t.Fatalf("header %#x is not the payload length %d", n, len(frame)-4)
 	}
-	js, err := AppendFrame(nil, Message{V: MaxJSONVersion, Type: TypeStatusReq})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if binary.BigEndian.Uint32(js[:4])&binaryFlag != 0 {
-		t.Fatal("JSON frame header carries the codec flag bit")
-	}
-	// A legacy reader (no flag handling) sees length >= 2^31 > MaxFrame.
-	if n := binary.BigEndian.Uint32(bin[:4]); n <= MaxFrame {
-		t.Fatalf("binary frame header %#x would parse as a plausible legacy length", n)
+	flagged := append([]byte(nil), frame...)
+	flagged[0] |= 0x80
+	if _, err := ReadFrame(bytes.NewReader(flagged)); err == nil {
+		t.Fatal("frame with the retired codec flag bit accepted")
 	}
 }
 
-// TestDecodeNormalizesEmptyEpochs: Hello.Epochs travels with omitempty
-// under JSON, so an empty-but-present map cannot survive a JSON
-// re-encode; both decoders collapse it to nil so decode→encode→decode
-// is a fixed point under either codec.
+// TestDecodeNormalizesEmptyEpochs: the optional collections encode an
+// empty value as absent, so decode yields nil — one canonical form.
 func TestDecodeNormalizesEmptyEpochs(t *testing.T) {
-	jb := []byte(`{"v":2,"type":"hello","hello":{"device":"d","epoch":0,"epochs":{}}}`)
-	m, err := Decode(jb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Hello.Epochs != nil {
-		t.Fatalf("JSON decode kept the empty epochs map: %+v", m.Hello)
-	}
-	bb, err := EncodeBinary(Message{V: BinaryVersion, Type: TypeHello,
-		Hello: &Hello{Device: "d", Epochs: map[string]uint64{}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := DecodeBinary(bb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Hello.Epochs != nil {
-		t.Fatalf("binary round trip kept the empty epochs map: %+v", m2.Hello)
+	for _, m := range []Message{
+		{Type: TypeHello, Hello: &Hello{Device: "d", Epochs: map[string]uint64{}}},
+		{Type: TypeStatus, Status: &Status{Tenants: []TenantStatus{}}},
+	} {
+		b, err := EncodeBinary(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeBinary(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (got.Hello != nil && got.Hello.Epochs != nil) || (got.Status != nil && got.Status.Tenants != nil) {
+			t.Fatalf("round trip kept an empty optional collection: %+v", got)
+		}
 	}
 }
 
-// TestBinaryEncodeCoercesInvalidUTF8: the binary encoder mangles
-// invalid UTF-8 to U+FFFD exactly as json.Marshal does — a bad string
-// must not produce a frame the receiver refuses (which would turn a v3
-// session into a redial/re-report loop a v2 session never had).
+// TestBinaryEncodeCoercesInvalidUTF8: the encoder replaces every
+// invalid byte with its own U+FFFD (the decoder refuses invalid UTF-8,
+// so a bad string must never produce a frame the receiver refuses).
 func TestBinaryEncodeCoercesInvalidUTF8(t *testing.T) {
-	// Both a lone invalid byte and a run of them: JSON marshal emits one
-	// U+FFFD per invalid byte, and a run-collapsing coercion would
-	// derive a different canonical signature key than the JSON codec
-	// for the same message — splitting confirmations across a
-	// mixed-version fleet.
-	for _, bad := range []string{"dev\xffice", "a\xff\xfeb", "\xff\xff\xff", "ok�already"} {
-		b, err := EncodeBinary(Message{V: BinaryVersion, Type: TypeHello, Hello: &Hello{Device: bad}})
+	cases := map[string]string{
+		"dev\xffice":   "dev\uFFFDice",
+		"a\xff\xfeb":   "a\uFFFD\uFFFDb", // one per byte, not one per run
+		"\xff\xff\xff": "\uFFFD\uFFFD\uFFFD",
+		"ok�already":   "ok�already",
+	}
+	for bad, want := range cases {
+		b, err := EncodeBinary(Message{Type: TypeHello, Hello: &Hello{Device: bad}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,19 +112,14 @@ func TestBinaryEncodeCoercesInvalidUTF8(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: coerced frame refused: %v", bad, err)
 		}
-		jb, err := Encode(Message{V: MaxJSONVersion, Type: TypeHello, Hello: &Hello{Device: bad}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jm, err := Decode(jb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Hello.Device != jm.Hello.Device {
-			t.Fatalf("%q: codecs coerced differently: binary %q vs json %q", bad, m.Hello.Device, jm.Hello.Device)
+		if m.Hello.Device != want {
+			t.Fatalf("%q: coerced to %q, want %q", bad, m.Hello.Device, want)
 		}
 	}
 }
+
+// envelope starts a raw payload: the version varint and a type code.
+func envelope(code byte) []byte { return append(appendInt(nil, Version), code) }
 
 // TestBinaryHostileLengthNoHugeAlloc: a frame claiming millions of
 // elements it cannot back must fail with bounded allocation, not cost
@@ -180,8 +130,7 @@ func TestBinaryHostileLengthNoHugeAlloc(t *testing.T) {
 	// then fails to decode. Preallocating count × sizeof(Signature)
 	// up front would cost ~80 MB here before that failure.
 	const n = 2 << 20
-	frame := []byte{0, binReport}
-	frame = appendU64(frame, uint64(n)+1)
+	frame := appendU64(envelope(binReport), uint64(n)+1)
 	frame = append(frame, bytes.Repeat([]byte{0xff}, n)...)
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -198,18 +147,18 @@ func TestBinaryHostileLengthNoHugeAlloc(t *testing.T) {
 // TestBinaryDecodeRejects: truncated, trailing-garbage, and
 // hostile-length envelopes fail cleanly.
 func TestBinaryDecodeRejects(t *testing.T) {
-	good, err := EncodeBinary(Message{V: BinaryVersion, Type: TypeReport,
+	good, err := EncodeBinary(Message{Type: TypeReport,
 		Report: &Report{Sigs: []Signature{FromCore(testSig())}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := [][]byte{
 		{},
-		good[:len(good)-1],          // truncated
+		good[:len(good)-1],                    // truncated
 		append(good[:len(good):len(good)], 0), // trailing byte
-		{0, 99},                     // unknown type code
-		{0, binConfirm, 0xff, 0xff, 0xff, 0xff, 0xff}, // hostile string length
-		{0, binStatusReq, 7},        // payload on payloadless type (trailing)
+		envelope(99),                          // unknown type code
+		append(envelope(binConfirm), 0xff, 0xff, 0xff, 0xff, 0xff), // hostile string length
+		append(envelope(binStatusReq), 7),                          // payload on payloadless type (trailing)
 	}
 	for i, b := range cases {
 		if _, err := DecodeBinary(b); err == nil {
@@ -218,100 +167,42 @@ func TestBinaryDecodeRejects(t *testing.T) {
 	}
 }
 
-// TestSharedFrameEncodeOnce: Shared returns the identical backing bytes
-// for every caller at one version, distinct encodings per version, and
-// the JSON/binary codec split follows the version.
-func TestSharedFrameEncodeOnce(t *testing.T) {
-	sh := NewShared(Message{Type: TypeDelta,
-		Delta: &Delta{Epoch: 4, Sigs: []Signature{FromCore(testSig())}}})
-	b3a, err := sh.Frame(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b3b, err := sh.Frame(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &b3a[0] != &b3b[0] {
-		t.Fatal("second Frame(3) re-encoded instead of sharing the cached bytes")
-	}
-	b2, err := sh.Frame(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if binary.BigEndian.Uint32(b3a[:4])&binaryFlag == 0 {
-		t.Fatal("v3 shared frame not binary")
-	}
-	if binary.BigEndian.Uint32(b2[:4])&binaryFlag != 0 {
-		t.Fatal("v2 shared frame not JSON")
-	}
-	for v, b := range map[int][]byte{3: b3a, 2: b2} {
-		m, err := ReadFrame(bytes.NewReader(b))
-		if err != nil {
-			t.Fatalf("v%d shared frame does not decode: %v", v, err)
-		}
-		if m.V != v || m.Type != TypeDelta || m.Delta.Epoch != 4 {
-			t.Fatalf("v%d shared frame decoded wrong: %+v", v, m)
+// TestDecodeVersionFirst: a payload stamped at any other version stops
+// with a *VersionError naming it — before the type code or fields are
+// read, so even a payload that is garbage past the version says which
+// version it claimed.
+func TestDecodeVersionFirst(t *testing.T) {
+	for _, v := range []int{0, Version - 1, Version + 1, -62} {
+		b := append(appendInt(nil, v), 0xff, 0xff)
+		_, err := DecodeBinary(b)
+		var ve *VersionError
+		if !errors.As(err, &ve) || ve.Got != v {
+			t.Fatalf("version %d: err = %v, want *VersionError{%d}", v, err, v)
 		}
 	}
 }
 
-// FuzzWireV3Differential holds the two codecs to the same behavior:
-// any frame either codec accepts must round-trip bit-identically
-// through the *other* codec — JSON-decoded messages re-encode through
-// binary and back unchanged, binary-decoded messages re-encode through
-// JSON and back unchanged. A divergence here is a message a v2 hub and
-// a v3 hub would disagree about.
-func FuzzWireV3Differential(f *testing.F) {
-	var buf bytes.Buffer
-	for _, m := range messageFixtures() {
-		buf.Reset()
-		if err := WriteFrame(&buf, m); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+// TestSharedFrameEncodeOnce: Shared returns the identical backing bytes
+// to every caller, and they decode to the wrapped message.
+func TestSharedFrameEncodeOnce(t *testing.T) {
+	sh := NewShared(Message{Type: TypeDelta,
+		Delta: &Delta{Epoch: 4, Sigs: []Signature{FromCore(testSig())}}})
+	a, err := sh.Frame()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, m := range binaryFixtures() {
-		buf.Reset()
-		if err := WriteFrame(&buf, m); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+	b, err := sh.Frame()
+	if err != nil {
+		t.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ReadFrame(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Through the binary codec and back.
-		bb, err := EncodeBinary(m)
-		if err != nil {
-			t.Fatalf("accepted message does not binary-encode: %+v: %v", m, err)
-		}
-		fromBin, err := DecodeBinary(bb)
-		if err != nil {
-			t.Fatalf("binary encoding does not decode: %+v: %v", m, err)
-		}
-		if !reflect.DeepEqual(fromBin, m) {
-			t.Fatalf("binary round trip diverged:\n  in  %+v\n  out %+v", m, fromBin)
-		}
-		// Through the JSON codec and back.
-		jb, err := Encode(m)
-		if err != nil {
-			t.Fatalf("accepted message does not JSON-encode: %+v: %v", m, err)
-		}
-		fromJSON, err := Decode(jb)
-		if err != nil {
-			t.Fatalf("JSON encoding does not decode: %+v: %v", m, err)
-		}
-		if !reflect.DeepEqual(fromJSON, m) {
-			t.Fatalf("JSON round trip diverged:\n  in  %+v\n  out %+v", m, fromJSON)
-		}
-		// And the two agree byte-for-byte on the binary form (determinism:
-		// the property that lets Shared hand one frame to every session).
-		bb2, err := EncodeBinary(fromJSON)
-		if err != nil || !bytes.Equal(bb, bb2) {
-			t.Fatalf("binary encoding not deterministic across codecs (%v):\n  %x\n  %x", err, bb, bb2)
-		}
-	})
+	if &a[0] != &b[0] {
+		t.Fatal("second Frame re-encoded instead of sharing the cached bytes")
+	}
+	m, err := ReadFrame(bytes.NewReader(a))
+	if err != nil {
+		t.Fatalf("shared frame does not decode: %v", err)
+	}
+	if !reflect.DeepEqual(m, sh.Message()) {
+		t.Fatalf("shared frame decoded wrong: %+v", m)
+	}
 }

@@ -1,5 +1,5 @@
-// Package wire defines the versioned, transport-agnostic message set of
-// the fleet signature exchange. Every conversation between a phone and a
+// Package wire defines the transport-agnostic message set of the
+// fleet signature exchange. Every conversation between a phone and a
 // fleet hub — whatever carries it: the in-process loopback, the TCP
 // transport, a future QUIC or broker backend — is a sequence of these
 // messages, so the exchange's semantics (confirm-before-arm gating,
@@ -10,8 +10,9 @@
 //
 //	type        direction      payload                  purpose
 //	----        ---------      -------                  -------
-//	hello       client → hub   device, epoch            subscribe; resume deltas after `epoch`
-//	ack         hub → client   ok, error, epoch         handshake result (version/device checks)
+//	hello       client → hub   device, epochs, token    subscribe; resume deltas after the
+//	                                                    epoch recorded for the hub's gen
+//	ack         hub → client   ok, error, epoch, gen    handshake result (version/device checks)
 //	report      client → hub   sigs                     locally detected signatures (confirmations)
 //	confirm     hub → client   key, confirmations,      receipt for one reported signature with
 //	                           armed                    its current fleet provenance
@@ -22,10 +23,10 @@
 //	                           batching
 //
 // Deltas to one client are ordered and their epochs strictly increase; a
-// client that reconnects sends the last epoch it applied in hello and
-// receives only what it is missing. A hub may coalesce several pending
-// deltas into one (batching) — the coalesced delta carries the newest
-// epoch, never a stale one.
+// client that reconnects sends the last epoch it applied from each hub
+// incarnation in hello and receives only what it is missing. A hub may
+// coalesce several pending deltas into one (batching) — the coalesced
+// delta carries the newest epoch, never a stale one.
 //
 // # Peer messages (hub federation)
 //
@@ -34,8 +35,8 @@
 //
 //	type            direction       payload                 purpose
 //	----            ---------       -------                 -------
-//	peer-hello      dialer → hub    hub, version range,     subscribe to the answering hub's
-//	                                seq                     owned armings after `seq`
+//	peer-hello      dialer → hub    hub, seq, addr          subscribe to the answering hub's
+//	                                                        owned armings after `seq`
 //	forward-report  dialer → hub    hub, device, sigs       relay a device's report to the
 //	                                                        signature's owning hub, keeping
 //	                                                        the original device attribution
@@ -50,13 +51,11 @@
 // hub in peer-hello, and receives only the armings it missed — the
 // hub-to-hub twin of the device tier's resubscribe-from-epoch.
 //
-// # Membership messages (elastic clusters, v4)
+// # Membership messages (elastic clusters)
 //
-// A v4 cluster is elastic: hubs join, leave, crash, and return, and the
+// A cluster is elastic: hubs join, leave, crash, and return, and the
 // ownership ring follows the live membership. Three more peer messages
-// carry that (all require a negotiated version >= MembershipVersion;
-// a v2/v3-pinned peer link simply never sends them and behaves as a
-// static ring):
+// carry that:
 //
 //	type            direction       payload                 purpose
 //	----            ---------       -------                 -------
@@ -72,10 +71,9 @@
 //	                                                        set, so arming survives an
 //	                                                        owner crash
 //
-// # Probe and lease messages (partition-tolerant ownership, v6)
+// # Probe and lease messages (partition-tolerant ownership)
 //
-// Four more peer messages make ownership partition-safe (all require a
-// negotiated version >= ProbeVersion):
+// Four more peer messages make ownership partition-safe:
 //
 //	type            direction       payload                 purpose
 //	----            ---------       -------                 -------
@@ -106,55 +104,18 @@
 // answering hub can admit an unknown dialer into the membership and
 // third parties learn where to dial it.
 //
-// # Versioning and the version matrix
+// # Versioning: one version
 //
-// Every message envelope carries the protocol version `v`. A v2+ hello
-// additionally advertises the supported range [min_v, max_v]; the hub
-// acks the highest version both sides speak (ack `v`), so new message
-// sets — and new codecs — ship as negotiated extensions instead of
-// hard breaks. A hello with no common version — including a bare
-// pre-negotiation hello whose envelope version the hub does not speak —
-// is rejected with ack{ok:false} and a human-readable error, then the
-// session closes: an old client fails cleanly instead of hanging on
-// messages it cannot parse. Peer messages require a negotiated version
-// of at least PeerVersion.
-//
-//	v   codec    introduced
-//	-   -----    ----------
-//	1   JSON     hello/ack/report/confirm/delta/status, flat epoch resume
-//	2   JSON     range negotiation, per-gen epoch map, hub gen in ack,
-//	             peer message set (federation)
-//	3   binary   hand-rolled varint codec (binary.go): same message set
-//	             and semantics as v2, different bytes on the wire
-//	4   binary   elastic membership: member-update/handoff/replicate
-//	             peer messages, arm-broadcast fencing epoch, peer-hello
-//	             advertised address
-//	5   binary   authenticated multi-tenant fabric: hello bearer token
-//	             (resolved to a (tenant, device) principal by the hub's
-//	             auth verifier), tenant scoping on the peer messages and
-//	             provenance records, per-tenant status view. A hub with
-//	             auth disabled ignores the token, so v≤4 interop is
-//	             unchanged wherever auth is off
-//	6   binary   partition-tolerant ownership: ping/ping-ack failure
-//	             probes and lease/lease-ack quorum renewals. Links
-//	             negotiated lower never carry them — their peers are
-//	             judged by session liveness and counted as lease
-//	             granters, the pre-v6 trust model
-//
-// The negotiation rules, applied by both ends:
-//
-//  1. A hello (or peer-hello) advertising [min_v, max_v] negotiates
-//     the highest version in the intersection with the receiver's own
-//     range (Negotiate / NegotiateMax); no intersection refuses the
-//     session. A bare hello with no range advertises exactly its
-//     envelope version.
-//  2. Everything before the ack settles the version — hellos, refusal
-//     acks, bare status probes — is framed as JSON at or below
-//     MaxJSONVersion, which every version ever shipped can parse.
-//  3. After the ack, every frame on the session is framed at exactly
-//     the negotiated version: a v1 session never sees a v2 envelope,
-//     and only a session negotiated at >= BinaryVersion ever sees a
-//     binary frame.
+// There is exactly one protocol version, Version, and one codec, the
+// binary codec (binary.go), from the first frame of every session.
+// Every encoder stamps Version as the first field of the payload; the
+// decoder reads that field before anything else and stops with a
+// *VersionError for any other value. A hub answers a VersionError with
+// ack{ok:false} naming both versions and closes the session, so an
+// endpoint speaking a different version fails cleanly instead of
+// hanging, and a future version can recognize an older hub and decide
+// how to talk to it. Nothing negotiates: no session, link, or hub
+// stores a version.
 //
 // # Canonical signature encoding
 //
@@ -167,35 +128,27 @@
 //
 // # Framing
 //
-// Stream transports carry messages as length-prefixed frames. The
-// 4-byte big-endian prefix packs the payload codec and length:
+// Stream transports carry messages as length-prefixed frames:
 //
 //	 0               1               2               3
-//	+-+-------------+---------------+---------------+--------------+
-//	|B|          payload length (31 bits, <= MaxFrame)             |
-//	+-+-------------+---------------+---------------+--------------+
-//	|  payload: JSON envelope (B=0) or binary v3 envelope (B=1)    |
-//	|  ...                                                         |
-//	+--------------------------------------------------------------+
+//	+---------------+---------------+---------------+---------------+
+//	|              payload length (big-endian, <= MaxFrame)         |
+//	+---------------+---------------+---------------+---------------+
+//	|  payload: version varint, type code, fields (binary.go)       |
+//	|  ...                                                          |
+//	+---------------------------------------------------------------+
 //
-// The B bit selects the codec, so one Reader decodes mixed-version
-// traffic and the pre-negotiation handshake needs no out-of-band codec
-// agreement. MaxFrame (4 MiB) fits in 31 bits with room to spare, and a
-// pre-v3 endpoint that is wrongly handed a binary frame reads an
-// impossible length and rejects it instead of mis-parsing: frames above
-// MaxFrame fail before any payload allocation, so a corrupt or hostile
-// peer cannot balloon the hub's memory either.
+// Frames above MaxFrame (4 MiB) fail before any payload allocation, so
+// a corrupt or hostile peer cannot balloon the hub's memory.
 //
 // The fan-out hot path never encodes per receiver: a broadcast is
-// wrapped in a Shared, which encodes the message at most once per
-// negotiated version and hands every session at that version the same
-// immutable []byte (see Shared).
+// wrapped in a Shared, which encodes the message once and hands every
+// session the same immutable []byte (see Shared).
 package wire
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -203,65 +156,17 @@ import (
 	"github.com/dimmunix/dimmunix/internal/core"
 )
 
-// Version is the newest protocol version this package speaks; MinVersion
-// is the oldest it still accepts. A hub negotiates the highest version
-// inside the intersection of its [MinVersion, Version] and the client's
-// advertised range (a bare v1 hello advertises exactly its envelope
-// version).
-const (
-	Version    = 6
-	MinVersion = 1
-	// PeerVersion is the minimum negotiated version for the peer message
-	// set (hub federation).
-	PeerVersion = 2
-	// ProbeVersion is the minimum negotiated version for the probe and
-	// lease peer messages (ping, ping-ack, lease, lease-ack). A link
-	// negotiated lower never carries them: its peer is probed by the
-	// legacy session-liveness signal and counted as granting leases
-	// (staged-rollout trust).
-	ProbeVersion = 6
-	// AuthVersion is the version that introduced the authenticated
-	// multi-tenant fabric (hello token, tenant-scoped peer messages).
-	// The hello token itself travels in the pre-negotiation JSON hello,
-	// so auth does not require negotiating this high — the constant
-	// documents the protocol generation.
-	AuthVersion = 5
-	// MembershipVersion is the minimum negotiated version for the
-	// elastic-membership peer messages (member-update, handoff,
-	// replicate); links negotiated lower behave as a static ring.
-	MembershipVersion = 4
-	// BinaryVersion is the first version framed with the binary codec;
-	// sessions negotiated below it stay on JSON.
-	BinaryVersion = 3
-	// MaxJSONVersion is the newest JSON-framed version — the envelope
-	// version for everything sent before negotiation settles a session's
-	// version (hellos, refusal acks, bare status probes), since every
-	// endpoint ever shipped can parse it.
-	MaxJSONVersion = 2
-)
+// Version is the protocol version: every encoder stamps it, and the
+// decoder refuses any other (see VersionError).
+const Version = 7
 
-// Negotiate returns the highest protocol version in the intersection of
-// the hub's supported range and a client range [min, max], and whether
-// one exists. It is the single negotiation rule both ends apply.
-func Negotiate(min, max int) (int, bool) {
-	return NegotiateMax(min, max, Version)
-}
+// VersionError is the decoder's refusal of a payload stamped with a
+// protocol version other than Version. A hub answers it with a failure
+// ack naming both versions, then closes the session.
+type VersionError struct{ Got int }
 
-// NegotiateMax is Negotiate with the receiver's ceiling lowered to
-// `ceiling` — how an operator pins a hub to an older version during a
-// staged rollout (a ceiling outside [MinVersion, Version] means no pin).
-func NegotiateMax(min, max, ceiling int) (int, bool) {
-	if ceiling < MinVersion || ceiling > Version {
-		ceiling = Version
-	}
-	v := max
-	if v > ceiling {
-		v = ceiling
-	}
-	if v < MinVersion || v < min {
-		return 0, false
-	}
-	return v, true
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("wire: protocol version %d not supported (this endpoint speaks %d)", e.Got, Version)
 }
 
 // MaxFrame bounds one frame's payload size (4 MiB). A delta carrying
@@ -282,29 +187,28 @@ const (
 	TypeStatusReq Type = "status-req"
 	TypeStatus    Type = "status"
 
-	// The peer (hub-to-hub) message set; requires PeerVersion.
+	// The peer (hub-to-hub) message set.
 	TypePeerHello      Type = "peer-hello"
 	TypeForwardReport  Type = "forward-report"
 	TypeForwardConfirm Type = "forward-confirm"
 	TypeArmBroadcast   Type = "arm-broadcast"
 
-	// The elastic-membership message set; requires MembershipVersion.
+	// The elastic-membership message set.
 	TypeMemberUpdate Type = "member-update"
 	TypeHandoff      Type = "handoff"
 	TypeReplicate    Type = "replicate"
 
-	// The probe/lease message set (partition-tolerant ownership);
-	// requires ProbeVersion.
+	// The probe/lease message set (partition-tolerant ownership).
 	TypePing     Type = "ping"
 	TypePingAck  Type = "ping-ack"
 	TypeLease    Type = "lease"
 	TypeLeaseAck Type = "lease-ack"
 )
 
-// Message is the envelope: the version, the type, and exactly the one
-// payload field matching the type (status-req has no payload).
+// Message is the envelope: the type and exactly the one payload field
+// matching the type (status-req has no payload). The protocol version
+// is not a field: it is stamped on encode and checked on decode.
 type Message struct {
-	V    int  `json:"v"`
 	Type Type `json:"type"`
 
 	Hello   *Hello   `json:"hello,omitempty"`
@@ -329,26 +233,18 @@ type Message struct {
 	LeaseAck *LeaseAck `json:"lease_ack,omitempty"`
 }
 
-// Hello subscribes a device. Epoch is the fleet delta epoch the device
-// has already applied: 0 on first contact, the last delta's epoch on a
-// reconnect, so the hub replays only the missing armed signatures.
-//
-// A v2 client also sends MinV/MaxV (its supported version range, see
-// Negotiate) and Epochs, its merged multi-hub view: the last applied
-// epoch per hub incarnation (gen). Epochs are only comparable within
-// one incarnation, so a hub that finds its own gen in the map resumes
-// the device from exactly the right point even when the device last
-// spoke to a different hub of the cluster; a missing gen means replay
-// from zero. Hubs prefer Epochs over the flat Epoch when present.
+// Hello subscribes a device. Epochs is the device's merged multi-hub
+// view: the last fleet delta epoch it applied per hub incarnation
+// (gen). Epochs are only comparable within one incarnation, so a hub
+// that finds its own gen in the map resumes the device from exactly the
+// right point — replaying only the missing armed signatures — even when
+// the device last spoke to a different hub of the cluster; a missing
+// gen (or a nil map, on first contact) means replay from zero.
 type Hello struct {
-	Device string `json:"device"`
-	Epoch  uint64 `json:"epoch"`
-
-	MinV   int               `json:"min_v,omitempty"`
-	MaxV   int               `json:"max_v,omitempty"`
+	Device string            `json:"device"`
 	Epochs map[string]uint64 `json:"epochs,omitempty"`
 
-	// Token (v5) is the device's bearer credential. A hub with an auth
+	// Token is the device's bearer credential. A hub with an auth
 	// verifier resolves it to a (tenant, device) principal and refuses
 	// the hello when it is missing, invalid, or its device claim does
 	// not match Device; a hub with auth disabled ignores it.
@@ -356,9 +252,8 @@ type Hello struct {
 }
 
 // Ack answers a hello or a peer-hello. On success Epoch is the hub's
-// current fleet epoch (for a peer-hello: its owned-arming seq), V is
-// the negotiated protocol version (0 from a pre-negotiation hub means
-// v1), and Gen identifies the hub incarnation — epochs and seqs are
+// current fleet epoch (for a peer-hello: its owned-arming seq), and Gen
+// identifies the hub incarnation — epochs and seqs are
 // only comparable within one Gen, so a subscriber that sees a new Gen
 // discards its stored resume point and resubscribes from zero (a
 // restarted hub's counters may have regrown past the subscriber's,
@@ -370,7 +265,6 @@ type Ack struct {
 	Error string `json:"error,omitempty"`
 	Epoch uint64 `json:"epoch"`
 	Gen   string `json:"gen,omitempty"`
-	V     int    `json:"nv,omitempty"`
 }
 
 // Report carries locally detected signatures upward. Each one counts as
@@ -397,16 +291,12 @@ type Delta struct {
 // PeerHello subscribes one hub to another's owned armings. Hub is the
 // dialing hub's cluster id; Seq is the answering hub's arming seq the
 // dialer has already applied (0 on first contact — or after the
-// answerer's Gen changed — so only missed armings replay). MinV/MaxV is
-// the dialer's version range; the negotiated version must reach
-// PeerVersion or the hub refuses.
+// answerer's Gen changed — so only missed armings replay).
 type PeerHello struct {
-	Hub  string `json:"hub"`
-	Seq  uint64 `json:"seq"`
-	MinV int    `json:"min_v,omitempty"`
-	MaxV int    `json:"max_v,omitempty"`
+	Hub string `json:"hub"`
+	Seq uint64 `json:"seq"`
 
-	// Addr (v4) is the dialing hub's advertised wire address. An
+	// Addr is the dialing hub's advertised wire address. An
 	// answering hub that does not know the dialer admits it into the
 	// membership under this address; empty means the dialer is not
 	// joinable (static config or no reachable address).
@@ -423,14 +313,14 @@ type ForwardReport struct {
 	Device string      `json:"device"`
 	Sigs   []Signature `json:"sigs"`
 
-	// Hops (v4) counts forwarding legs. Ownership can move while a
+	// Hops counts forwarding legs. Ownership can move while a
 	// forward sits in a retry outbox; a receiver that no longer owns a
 	// forwarded signature re-forwards it to the current owner as long as
 	// Hops stays below a small bound, then counts it locally — churn
 	// degrades to one extra hop, never a forwarding loop.
 	Hops int `json:"hops,omitempty"`
 
-	// Tenant (v5) scopes the forwarded confirmations: the owner books
+	// Tenant scopes the forwarded confirmations: the owner books
 	// them under the tenant's entry, never another tenant's.
 	Tenant string `json:"tenant,omitempty"`
 }
@@ -442,7 +332,7 @@ type ForwardConfirm struct {
 	Device  string  `json:"device"`
 	Confirm Confirm `json:"confirm"`
 
-	// Tenant (v5) addresses the receipt: device ids are only unique
+	// Tenant addresses the receipt: device ids are only unique
 	// within a tenant, so the relaying hub looks the session up under
 	// (tenant, device).
 	Tenant string `json:"tenant,omitempty"`
@@ -458,13 +348,13 @@ type ArmBroadcast struct {
 	Confirmations int       `json:"confirmations"`
 	Sig           Signature `json:"sig"`
 
-	// Fence (v4) is the sender's membership epoch at broadcast time. A
+	// Fence is the sender's membership epoch at broadcast time. A
 	// receiver whose membership epoch is newer refuses the broadcast
 	// unless the sender still owns the signature under the receiver's
 	// ring — the rule that fences a returning stale owner's replays.
 	Fence uint64 `json:"fence,omitempty"`
 
-	// Tenant (v5) scopes the arming: receivers install it under the
+	// Tenant scopes the arming: receivers install it under the
 	// tenant's canonical key and push it only to that tenant's devices.
 	Tenant string `json:"tenant,omitempty"`
 }
@@ -503,7 +393,7 @@ type OwnedRecord struct {
 	Armed       bool      `json:"armed,omitempty"`
 	OwnerSeq    uint64    `json:"owner_seq,omitempty"`
 
-	// Tenant (v5) keeps a migrated or replicated record in its tenant's
+	// Tenant keeps a migrated or replicated record in its tenant's
 	// namespace — the receiver re-derives the canonical key from
 	// (Tenant, Sig), so handoff and failover never leak state across
 	// tenants.
@@ -528,7 +418,7 @@ type Replicate struct {
 	Records []OwnedRecord `json:"records"`
 }
 
-// Ping (v6) is one failure-detector probe. From is the probing hub.
+// Ping is one failure-detector probe. From is the probing hub.
 // When Target equals the receiver's id the ping is direct and the
 // receiver answers with a ping-ack over its own link to From. When
 // Target names a third hub the ping is an indirect probe request
@@ -542,7 +432,7 @@ type Ping struct {
 	Seq    uint64 `json:"seq"`
 }
 
-// PingAck (v6) answers a ping. From is the answering hub, Target the
+// PingAck answers a ping. From is the answering hub, Target the
 // hub whose liveness is being vouched for (== From for a direct ack;
 // the probed third hub for a relayed indirect verdict), and Seq echoes
 // the probe's Seq. OK is false only on a relayed verdict whose proxy
@@ -554,7 +444,7 @@ type PingAck struct {
 	OK     bool   `json:"ok"`
 }
 
-// Lease (v6) asks a peer to countersign the sender's quorum lease: the
+// Lease asks a peer to countersign the sender's quorum lease: the
 // sender may arm owned signatures and accept handoffs only while a
 // majority of the membership view has acked a lease renewal within the
 // lease TTL. Epoch is the sender's membership epoch — a granter with a
@@ -567,7 +457,7 @@ type Lease struct {
 	Seq   uint64 `json:"seq"`
 }
 
-// LeaseAck (v6) answers a lease renewal. OK grants; a refusal carries
+// LeaseAck answers a lease renewal. OK grants; a refusal carries
 // the granter's own Epoch so the requester knows it is behind on
 // membership rather than partitioned.
 type LeaseAck struct {
@@ -590,10 +480,10 @@ type Status struct {
 	Hub     string         `json:"hub,omitempty"`
 	Cluster *ClusterStatus `json:"cluster,omitempty"`
 
-	// Tenants (v5) is the per-tenant view: one summary per non-default
+	// Tenants is the per-tenant view: one summary per non-default
 	// tenant with provenance on this hub. A single-tenant fleet (every
-	// session under the default "" tenant) has none, keeping the
-	// pre-v5 status JSON byte-identical.
+	// session under the default "" tenant) has none, and the field is
+	// omitted from the status JSON.
 	Tenants []TenantStatus `json:"tenants,omitempty"`
 }
 
@@ -621,7 +511,7 @@ type ClusterStatus struct {
 	// Forwards counts device-reported signatures relayed to their owner.
 	Forwards uint64 `json:"forwards"`
 
-	// MembershipEpoch (v4) is the hub's membership epoch and Ring the
+	// MembershipEpoch is the hub's membership epoch and Ring the
 	// full membership with liveness — the /status view an operator reads
 	// to answer "who is in the cluster and who is alive".
 	MembershipEpoch uint64       `json:"membership_epoch,omitempty"`
@@ -641,7 +531,7 @@ type SigStatus struct {
 	Armed         bool     `json:"armed"`
 	Owner         string   `json:"owner,omitempty"`
 
-	// Tenant (v5) is the fleet the signature belongs to ("" = default).
+	// Tenant is the fleet the signature belongs to ("" = default).
 	Tenant string `json:"tenant,omitempty"`
 }
 
@@ -803,70 +693,11 @@ func (m Message) Validate() error {
 	}
 }
 
-// Encode marshals the message to its JSON frame payload.
-func Encode(m Message) ([]byte, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	b, err := json.Marshal(m)
-	if err != nil {
-		return nil, fmt.Errorf("wire encode: %w", err)
-	}
-	if len(b) > MaxFrame {
-		return nil, fmt.Errorf("wire encode: frame %d bytes exceeds max %d", len(b), MaxFrame)
-	}
-	return b, nil
-}
-
-// decodeNorm canonicalizes a freshly decoded message. Hello.Epochs and
-// Status.Tenants are marshaled with omitempty, so the JSON codec cannot
-// re-encode an empty-but-present collection; both decoders collapse
-// them to nil, keeping decode→encode→decode a fixed point under either
-// codec (the property the decode and differential fuzz targets assert).
-func decodeNorm(m Message) Message {
-	if m.Hello != nil && m.Hello.Epochs != nil && len(m.Hello.Epochs) == 0 {
-		m.Hello.Epochs = nil
-	}
-	if m.Status != nil && m.Status.Tenants != nil && len(m.Status.Tenants) == 0 {
-		m.Status.Tenants = nil
-	}
-	return m
-}
-
-// Decode unmarshals and structurally validates one frame payload.
-func Decode(b []byte) (Message, error) {
-	var m Message
-	if err := json.Unmarshal(b, &m); err != nil {
-		return Message{}, fmt.Errorf("wire decode: %w", err)
-	}
-	if err := m.Validate(); err != nil {
-		return Message{}, err
-	}
-	return decodeNorm(m), nil
-}
-
-// binaryFlag marks a frame header whose payload uses the binary codec.
-// MaxFrame needs 23 bits, so the top bit of the length prefix is free.
-const binaryFlag = 1 << 31
-
 // AppendFrame appends one framed message to dst and returns the
-// extended slice. The codec follows the envelope version: m.V >=
-// BinaryVersion frames binary (flag bit set), anything lower frames
-// JSON — which is exactly the session-version stamping rule, so callers
-// only ever pick a version, never a codec.
+// extended slice.
 func AppendFrame(dst []byte, m Message) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	var err error
-	hdr := uint32(0)
-	if m.V >= BinaryVersion {
-		hdr = binaryFlag
-		dst, err = appendBinary(dst, m)
-	} else {
-		var b []byte
-		b, err = Encode(m)
-		dst = append(dst, b...)
-	}
+	dst, err := appendBinary(append(dst, 0, 0, 0, 0), m)
 	if err != nil {
 		return dst[:start], err
 	}
@@ -874,7 +705,7 @@ func AppendFrame(dst []byte, m Message) ([]byte, error) {
 	if n > MaxFrame {
 		return dst[:start], fmt.Errorf("wire frame: %d bytes exceeds max %d", n, MaxFrame)
 	}
-	binary.BigEndian.PutUint32(dst[start:start+4], hdr|uint32(n))
+	binary.BigEndian.PutUint32(dst[start:start+4], uint32(n))
 	return dst, nil
 }
 
@@ -885,8 +716,7 @@ var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &
 const maxPooled = 64 << 10
 
 // WriteFrame writes one framed message to w as a single Write (one
-// packet on an unbuffered socket), choosing the codec from m.V as
-// AppendFrame does.
+// packet on an unbuffered socket).
 func WriteFrame(w io.Writer, m Message) error {
 	bp := framePool.Get().(*[]byte)
 	b, err := AppendFrame((*bp)[:0], m)
@@ -902,30 +732,18 @@ func WriteFrame(w io.Writer, m Message) error {
 	return err
 }
 
-// decodeFrame dispatches a frame payload to the codec named by the
-// header flag.
-func decodeFrame(payload []byte, binaryCodec bool) (Message, error) {
-	if binaryCodec {
-		return DecodeBinary(payload)
-	}
-	return Decode(payload)
-}
-
-// parseHeader unpacks and validates a frame header: the payload length
-// and the codec flag. It is the single reading of the header layout —
-// the buffered and unbuffered read paths must never disagree about
-// frame validity.
-func parseHeader(hdr [4]byte) (n uint32, isBin bool, err error) {
-	n = binary.BigEndian.Uint32(hdr[:])
-	isBin = n&binaryFlag != 0
-	n &^= binaryFlag
+// parseHeader unpacks and validates a frame header's payload length.
+// It is the single reading of the header layout — the buffered and
+// unbuffered read paths must never disagree about frame validity.
+func parseHeader(hdr [4]byte) (uint32, error) {
+	n := binary.BigEndian.Uint32(hdr[:])
 	if n == 0 {
-		return 0, false, fmt.Errorf("wire read: zero-length frame")
+		return 0, fmt.Errorf("wire read: zero-length frame")
 	}
 	if n > MaxFrame {
-		return 0, false, fmt.Errorf("wire read: frame %d bytes exceeds max %d", n, MaxFrame)
+		return 0, fmt.Errorf("wire read: frame %d bytes exceeds max %d", n, MaxFrame)
 	}
-	return n, isBin, nil
+	return n, nil
 }
 
 // ReadFrame reads one framed message from r without reading ahead —
@@ -937,7 +755,7 @@ func ReadFrame(r io.Reader) (Message, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Message{}, err // io.EOF passes through for clean close detection
 	}
-	n, isBin, err := parseHeader(hdr)
+	n, err := parseHeader(hdr)
 	if err != nil {
 		return Message{}, err
 	}
@@ -945,7 +763,7 @@ func ReadFrame(r io.Reader) (Message, error) {
 	if _, err := io.ReadFull(r, b); err != nil {
 		return Message{}, fmt.Errorf("wire read: %w", err)
 	}
-	return decodeFrame(b, isBin)
+	return DecodeBinary(b)
 }
 
 // maxScratch caps the payload buffer a Reader keeps between frames: the
@@ -957,7 +775,7 @@ const maxScratch = 64 << 10
 // header and body of a small frame cost one read from the kernel, not
 // two — and a reused, size-capped scratch buffer, so steady-state frame
 // reads allocate only what the decoded message itself needs. Decoded
-// messages never alias the scratch (both codecs copy what they keep),
+// messages never alias the scratch (the decoder copies what it keeps),
 // which is what makes the reuse safe.
 type Reader struct {
 	br      *bufio.Reader
@@ -979,7 +797,7 @@ func (r *Reader) ReadFrame() (Message, error) {
 	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
 		return Message{}, err // io.EOF passes through for clean close detection
 	}
-	n, isBin, err := parseHeader(hdr)
+	n, err := parseHeader(hdr)
 	if err != nil {
 		return Message{}, err
 	}
@@ -995,60 +813,39 @@ func (r *Reader) ReadFrame() (Message, error) {
 	if _, err := io.ReadFull(r.br, buf); err != nil {
 		return Message{}, fmt.Errorf("wire read: %w", err)
 	}
-	return decodeFrame(buf, isBin)
+	return DecodeBinary(buf)
 }
 
 // Shared is an encode-once broadcast frame: one immutable message,
-// encoded at most once per negotiated session version, with every
-// session at that version handed the same []byte. It is what turns a
-// hub fan-out from O(subscribers) marshals into O(distinct versions):
+// encoded at most once, with every session handed the same []byte. It
+// is what turns a hub fan-out from O(subscribers) marshals into one:
 // the exchange wraps each delta and arm-broadcast in a Shared and
-// enqueues the handle, and each session's drain resolves it against its
-// own negotiated version at write time.
+// enqueues the handle, and each session's drain resolves it at write
+// time.
 //
-// The wrapped message and every returned frame are immutable: callers
+// The wrapped message and the returned frame are immutable: callers
 // must never modify the bytes (they are concurrently written to other
 // sessions) and must not mutate the message after wrapping it.
 type Shared struct {
 	msg Message
 
-	mu    sync.Mutex
-	byVer map[int][]byte
+	once  sync.Once
+	frame []byte
+	err   error
 }
 
 // NewShared wraps m (payload pointers included) as an immutable
-// broadcast. m.V is ignored — the version is chosen per session when a
-// frame is requested.
+// broadcast.
 func NewShared(m Message) *Shared { return &Shared{msg: m} }
 
-// Msg returns the wrapped message with its version unstamped. The
-// payload is shared: read-only.
-func (s *Shared) Msg() Message { return s.msg }
+// Message returns the wrapped message — the decoded-delivery twin of
+// Frame for in-process transports. The payload is shared: read-only.
+func (s *Shared) Message() Message { return s.msg }
 
-// Message returns the wrapped message stamped at version v — the
-// decoded-delivery twin of Frame for in-process transports.
-func (s *Shared) Message(v int) Message {
-	m := s.msg
-	m.V = v
-	return m
-}
-
-// Frame returns the full encoded frame (header included) for sessions
-// negotiated at version v, encoding at most once per version however
-// many sessions share it. The returned bytes are immutable.
-func (s *Shared) Frame(v int) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b, ok := s.byVer[v]; ok {
-		return b, nil
-	}
-	b, err := AppendFrame(nil, s.Message(v))
-	if err != nil {
-		return nil, err
-	}
-	if s.byVer == nil {
-		s.byVer = make(map[int][]byte, 2)
-	}
-	s.byVer[v] = b
-	return b, nil
+// Frame returns the full encoded frame (header included), encoding on
+// the first call however many sessions share it. The returned bytes
+// are immutable.
+func (s *Shared) Frame() ([]byte, error) {
+	s.once.Do(func() { s.frame, s.err = AppendFrame(nil, s.msg) })
+	return s.frame, s.err
 }

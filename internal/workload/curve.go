@@ -32,31 +32,44 @@ func (p CurvePoint) OverheadPct() float64 {
 	return (p.Vanilla.SyncsPerSec - p.Dimmunix.SyncsPerSec) / p.Vanilla.SyncsPerSec * 100
 }
 
-// OverheadCurve measures vanilla vs Dimmunix throughput across per-op work
-// sizes with the given thread count and synthetic history size.
-func OverheadCurve(workSizes []int, threads, signatures int, duration time.Duration, seed int64) ([]CurvePoint, error) {
-	points := make([]CurvePoint, 0, len(workSizes))
-	for _, work := range workSizes {
-		base := DefaultMicroConfig(threads)
-		base.Duration = duration
-		base.Signatures = signatures
-		base.InsideWork = work / 4
-		base.OutsideWork = work - work/4
-		base.Seed = seed
+// curveWindows is how many windows OverheadCurve splits each
+// measurement into. Every configuration keeps its fastest window:
+// scheduler noise (other processes on the CPUs, a GC) only ever slows a
+// window down, so the fastest is the closest to the true cost, and the
+// windows of all work sizes interleave so each size sees the same
+// stretches of noise.
+const curveWindows = 5
 
-		van := base
-		van.Dimmunix = false
-		vres, err := Run(van)
-		if err != nil {
-			return nil, fmt.Errorf("curve work=%d vanilla: %w", work, err)
+// OverheadCurve measures vanilla vs Dimmunix throughput across per-op work
+// sizes with the given thread count and synthetic history size. Each
+// configuration runs for duration in total, as the fastest of
+// curveWindows interleaved windows.
+func OverheadCurve(workSizes []int, threads, signatures int, duration time.Duration, seed int64) ([]CurvePoint, error) {
+	points := make([]CurvePoint, len(workSizes))
+	for w := 0; w < curveWindows; w++ {
+		for i, work := range workSizes {
+			points[i].WorkIters = work
+			for _, dimmunix := range []bool{false, true} {
+				cfg := DefaultMicroConfig(threads)
+				cfg.Duration = duration / curveWindows
+				cfg.Signatures = signatures
+				cfg.InsideWork = work / 4
+				cfg.OutsideWork = work - work/4
+				cfg.Seed = seed
+				cfg.Dimmunix = dimmunix
+				res, err := Run(cfg)
+				if err != nil {
+					return nil, fmt.Errorf("curve work=%d dimmunix=%v: %w", work, dimmunix, err)
+				}
+				best := &points[i].Vanilla
+				if dimmunix {
+					best = &points[i].Dimmunix
+				}
+				if res.SyncsPerSec > best.SyncsPerSec {
+					*best = res
+				}
+			}
 		}
-		dim := base
-		dim.Dimmunix = true
-		dres, err := Run(dim)
-		if err != nil {
-			return nil, fmt.Errorf("curve work=%d dimmunix: %w", work, err)
-		}
-		points = append(points, CurvePoint{WorkIters: work, Vanilla: vres, Dimmunix: dres})
 	}
 	return points, nil
 }

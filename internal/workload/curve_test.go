@@ -6,8 +6,14 @@ import (
 	"time"
 )
 
+// TestOverheadCurveSmall compares the fastest of several interleaved
+// windows per work size, and a work gap (16000 busy iterations per op)
+// that at least doubles per-op latency even under the race detector,
+// whose instrumentation of the VM's monitor path makes a zero-work op
+// cost tens of microseconds. A gap of a few hundred iterations is a
+// percent or two of that, which one noisy window could hide.
 func TestOverheadCurveSmall(t *testing.T) {
-	points, err := OverheadCurve([]int{0, 500}, 2, 32, 100*time.Millisecond, 1)
+	points, err := OverheadCurve([]int{0, 16000}, 2, 32, 100*time.Millisecond, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -459,8 +459,7 @@ func newStormMonitor(cfg StormConfig) *stormMonitor {
 // continuous full-batch flood, and a final coverage batch).
 func (d *stormSession) drive(cfg StormConfig, fullSet []wire.Signature) error {
 	send := func(sigs []wire.Signature) error {
-		m := wire.Message{V: d.ver, Type: wire.TypeReport,
-			Report: &wire.Report{Sigs: sigs}}
+		m := wire.Message{Type: wire.TypeReport, Report: &wire.Report{Sigs: sigs}}
 		if err := d.sess.Send(m); err != nil {
 			return fmt.Errorf("storm: %s report: %w", d.id, err)
 		}
@@ -497,11 +496,10 @@ func (d *stormSession) drive(cfg StormConfig, fullSet []wire.Signature) error {
 }
 
 // stormSession is one device's raw wire session: hello/ack done, ready
-// to flood reports at the negotiated version.
+// to flood reports.
 type stormSession struct {
 	id   string
 	sess immunity.Session
-	ver  int
 }
 
 func (d *stormSession) close() { d.sess.Close() }
@@ -522,8 +520,7 @@ func dialStorm(tr immunity.Transport, id, token string, timeout time.Duration) (
 	if err != nil {
 		return nil, fmt.Errorf("%s dial: %w", id, err)
 	}
-	hello := wire.Message{V: wire.MinVersion, Type: wire.TypeHello,
-		Hello: &wire.Hello{Device: id, MinV: wire.MinVersion, MaxV: wire.Version, Token: token}}
+	hello := wire.Message{Type: wire.TypeHello, Hello: &wire.Hello{Device: id, Token: token}}
 	if err := sess.Send(hello); err != nil {
 		sess.Close()
 		return nil, fmt.Errorf("%s hello: %w", id, err)
@@ -534,11 +531,7 @@ func dialStorm(tr immunity.Transport, id, token string, timeout time.Duration) (
 			sess.Close()
 			return nil, fmt.Errorf("%s refused: %s", id, ack.Error)
 		}
-		ver := wire.MinVersion
-		if ack.V != 0 {
-			ver = ack.V
-		}
-		return &stormSession{id: id, sess: sess, ver: ver}, nil
+		return &stormSession{id: id, sess: sess}, nil
 	case <-time.After(timeout):
 		sess.Close()
 		return nil, fmt.Errorf("%s: timed out waiting for hello ack", id)
